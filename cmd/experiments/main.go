@@ -22,17 +22,11 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
-	"unico/internal/buildinfo"
-	"unico/internal/disttrace"
+	"unico/internal/cliobs"
 	"unico/internal/evalcache"
 	"unico/internal/experiments"
-	"unico/internal/flightrec"
 	"unico/internal/hw"
-	"unico/internal/logx"
-	"unico/internal/perfprof"
-	"unico/internal/runid"
 	"unico/internal/telemetry"
 )
 
@@ -57,72 +51,32 @@ func main() {
 	spanLog := flag.String("span-log", "", "record distributed-trace spans of every run as JSONL to this file; analyze with unicotrace")
 	flag.Parse()
 
-	logger, err := logx.Setup(*logFormat, *logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	// One sweep = one correlation ID across all its runs and dist requests.
-	runid.Set(runid.New())
-	buildinfo.Publish()
-
-	if *spanLog != "" {
-		rec, err := disttrace.NewRecorder(*spanLog, "client")
-		if err != nil {
-			logger.Error("span log setup failed", slog.Any("err", err))
-			os.Exit(1)
-		}
-		disttrace.Enable(rec)
-		defer rec.Close()
-	}
-
 	// SIGINT/SIGTERM cancel in-flight co-searches; with -checkpoint-dir set,
 	// each interrupted run leaves a resumable checkpoint behind.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-
-	if *pprofInterval > 0 && *pprofDir == "" {
-		logger.Error("-pprof-interval requires -pprof-dir")
+	// One sweep = one correlation ID across all its runs and dist requests;
+	// -trace rides on ctx, which every runner passes to its co-searches.
+	ctx, obs, err := cliobs.Start(ctx, "experiments", cliobs.Flags{
+		LogFormat: *logFormat, LogLevel: *logLevel,
+		SpanLog:  *spanLog,
+		PprofDir: *pprofDir, PprofInterval: *pprofInterval,
+		MetricsAddr: *metricsAddr,
+		TraceFile:   *traceFile,
+	})
+	if err != nil {
 		os.Exit(1)
 	}
-	var capture *perfprof.Capture
-	if *pprofDir != "" {
-		capture, err = perfprof.NewCapture(*pprofDir)
-		if err != nil {
-			logger.Error("pprof capture setup failed", slog.Any("err", err))
-			os.Exit(1)
-		}
-		if *pprofInterval > 0 {
-			go capture.Every(ctx, *pprofInterval, func(err error) {
-				logger.Warn("interval pprof capture failed", slog.Any("err", err))
-			})
-		}
-	}
+	defer obs.Close()
+	logger := obs.Logger
 
-	if *metricsAddr != "" {
-		flightrec.SetLive(flightrec.NewLive())
-		debug := telemetry.NewDebugServer(*metricsAddr, nil)
-		debug.Mux().Handle("GET /debug/unico", flightrec.DashboardHandler(flightrec.ActiveLive()))
-		debug.Mux().Handle("GET /debug/unico/phases", perfprof.PhasesHandler())
-		if capture != nil {
-			debug.Mux().Handle("GET /debug/unico/capture", capture.Handler())
-		}
-		debug.Start(func(err error) {
-			logger.Error("metrics server failed", slog.Any("err", err))
-		})
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = debug.Shutdown(sctx)
-		}()
-	}
 	if *useCache || *cacheSize > 0 || *cacheFile != "" {
 		cache := evalcache.New(*cacheSize)
 		if *cacheFile != "" {
 			n, err := cache.LoadFile(*cacheFile)
 			if err != nil {
 				logger.Error("cache warm-start failed", slog.Any("err", err))
-				os.Exit(1)
+				obs.Exit(1)
 			}
 			logger.Info("warm-started cache", slog.Int("entries", n), slog.String("file", *cacheFile))
 			defer func() {
@@ -132,26 +86,13 @@ func main() {
 			}()
 		}
 		// The runners build their platforms deep inside; the process-wide
-		// cache hook reaches them all (mirroring the default-tracer pattern).
+		// cache hook reaches them all.
 		evalcache.SetProcess(cache)
 		defer func() {
 			st := cache.Stats()
 			logger.Info("evaluation cache totals",
 				slog.Uint64("hits", st.Hits), slog.Uint64("misses", st.Misses))
 		}()
-	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			logger.Error("trace file setup failed", slog.Any("err", err))
-			os.Exit(1)
-		}
-		defer f.Close()
-		tr := telemetry.NewTracer(f)
-		defer tr.Flush()
-		// The runners construct their own core.Options deep inside; the
-		// process-wide fallback tracer reaches them all.
-		telemetry.SetDefaultTracer(tr)
 	}
 	if *progress {
 		telemetry.SetDefaultProgress(func(p telemetry.SearchProgress) {
@@ -168,7 +109,7 @@ func main() {
 		s = experiments.SmallScale()
 	default:
 		logger.Error("unknown scale", slog.String("scale", *scale))
-		os.Exit(1)
+		obs.Exit(1)
 	}
 	if *seed != 0 {
 		s.Seed = *seed
@@ -179,14 +120,14 @@ func main() {
 	if *checkpointDir != "" {
 		if err := os.MkdirAll(*checkpointDir, 0o755); err != nil {
 			logger.Error("checkpoint dir setup failed", slog.Any("err", err))
-			os.Exit(1)
+			obs.Exit(1)
 		}
 		s.CheckpointDir = *checkpointDir
 	}
 	if *flightDir != "" {
 		if err := os.MkdirAll(*flightDir, 0o755); err != nil {
 			logger.Error("flight-record dir setup failed", slog.Any("err", err))
-			os.Exit(1)
+			obs.Exit(1)
 		}
 		s.FlightDir = *flightDir
 	}
@@ -229,6 +170,6 @@ func main() {
 	}
 	if !ran {
 		logger.Error("nothing matched", slog.String("run", *run))
-		os.Exit(1)
+		obs.Exit(1)
 	}
 }

@@ -67,8 +67,8 @@ import (
 
 	"unico/internal/buildinfo"
 	"unico/internal/camodel"
+	"unico/internal/cliobs"
 	"unico/internal/dist"
-	"unico/internal/disttrace"
 	"unico/internal/evalcache"
 	"unico/internal/fleet"
 	"unico/internal/logx"
@@ -129,26 +129,21 @@ func main() {
 		if *shards != "" {
 			proc = "router"
 		}
-		rec, err := disttrace.NewRecorder(*spanLog, proc)
+		rec, err := cliobs.SpanLog(*spanLog, proc)
 		if err != nil {
 			logger.Error("span log setup failed", slog.Any("err", err))
 			os.Exit(1)
 		}
-		disttrace.Enable(rec)
 		defer rec.Close()
 	}
 
-	if *pprofInterval > 0 && *pprofDir == "" {
-		logger.Error("-pprof-interval requires -pprof-dir")
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+
+	capture, err := cliobs.Capture(ctx, *pprofDir, *pprofInterval, logger)
+	if err != nil {
+		logger.Error("pprof capture setup failed", slog.Any("err", err))
 		os.Exit(1)
-	}
-	var capture *perfprof.Capture
-	if *pprofDir != "" {
-		capture, err = perfprof.NewCapture(*pprofDir)
-		if err != nil {
-			logger.Error("pprof capture setup failed", slog.Any("err", err))
-			os.Exit(1)
-		}
 	}
 
 	var (
@@ -228,17 +223,8 @@ func main() {
 		IdleTimeout:       2 * time.Minute,
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
 	if router != nil {
 		router.Start(ctx)
-	}
-
-	if capture != nil && *pprofInterval > 0 {
-		go capture.Every(ctx, *pprofInterval, func(err error) {
-			logger.Warn("interval pprof capture failed", slog.Any("err", err))
-		})
 	}
 
 	if cache != nil && *cacheFile != "" && *checkpointEvery > 0 {

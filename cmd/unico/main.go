@@ -20,14 +20,9 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"unico"
-	"unico/internal/buildinfo"
-	"unico/internal/disttrace"
-	"unico/internal/flightrec"
-	"unico/internal/logx"
-	"unico/internal/perfprof"
+	"unico/internal/cliobs"
 	"unico/internal/runid"
 	"unico/internal/telemetry"
 )
@@ -74,58 +69,25 @@ func main() {
 	)
 	flag.Parse()
 
-	logger, err := logx.Setup(*logFormat, *logLevel)
+	// SIGINT/SIGTERM cancel the run: in-flight work aborts, the current
+	// partial batch is discarded, a final checkpoint is written (when
+	// -checkpoint is set), and the partial result prints before exit. A
+	// second signal kills the process immediately (stop() restores default
+	// signal handling).
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	ctx, obs, err := cliobs.Start(ctx, "unico", cliobs.Flags{
+		LogFormat: *logFormat, LogLevel: *logLevel,
+		SpanLog:  *spanLog,
+		PprofDir: *pprofDir, PprofInterval: *pprofInterval,
+		MetricsAddr: *metricsAddr,
+		TraceFile:   *traceFile,
+	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "unico:", err)
 		os.Exit(1)
 	}
-	// One run per invocation: generate the correlation ID up front so every
-	// log record — and every dist request and the flight-record header —
-	// carries it from the first line.
-	runid.Set(runid.New())
-	buildinfo.Publish()
-
-	if *spanLog != "" {
-		rec, err := disttrace.NewRecorder(*spanLog, "client")
-		if err != nil {
-			logger.Error("span log setup failed", slog.Any("err", err))
-			os.Exit(1)
-		}
-		disttrace.Enable(rec)
-		defer rec.Close()
-	}
-
-	if *pprofInterval > 0 && *pprofDir == "" {
-		logger.Error("-pprof-interval requires -pprof-dir")
-		os.Exit(1)
-	}
-	var capture *perfprof.Capture
-	if *pprofDir != "" {
-		capture, err = perfprof.NewCapture(*pprofDir)
-		if err != nil {
-			logger.Error("pprof capture setup failed", slog.Any("err", err))
-			os.Exit(1)
-		}
-	}
-
-	var debug *telemetry.DebugServer
-	if *metricsAddr != "" {
-		flightrec.SetLive(flightrec.NewLive())
-		debug = telemetry.NewDebugServer(*metricsAddr, nil)
-		debug.Mux().Handle("GET /debug/unico", flightrec.DashboardHandler(flightrec.ActiveLive()))
-		debug.Mux().Handle("GET /debug/unico/phases", perfprof.PhasesHandler())
-		if capture != nil {
-			debug.Mux().Handle("GET /debug/unico/capture", capture.Handler())
-		}
-		debug.Start(func(err error) {
-			logger.Error("metrics server failed", slog.Any("err", err))
-		})
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = debug.Shutdown(sctx)
-		}()
-	}
+	defer obs.Close()
+	logger := obs.Logger
 
 	if *list {
 		for _, n := range unico.Networks() {
@@ -178,7 +140,7 @@ func main() {
 	}
 	if err != nil {
 		logger.Error("platform setup failed", slog.Any("err", err))
-		os.Exit(1)
+		obs.Exit(1)
 	}
 
 	var m unico.Method
@@ -193,7 +155,7 @@ func main() {
 		m = unico.MethodNSGAII
 	default:
 		logger.Error("unknown method", slog.String("method", *method))
-		os.Exit(1)
+		obs.Exit(1)
 	}
 
 	cfg := unico.Config{
@@ -214,15 +176,6 @@ func main() {
 		FlightRecordFile:  *flightRecord,
 		RunID:             runid.Current(),
 	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			logger.Error("trace file setup failed", slog.Any("err", err))
-			os.Exit(1)
-		}
-		defer f.Close()
-		cfg.TraceWriter = f
-	}
 	if *progress {
 		cfg.Progress = func(p unico.IterationProgress) {
 			uul := "inf"
@@ -234,20 +187,6 @@ func main() {
 		}
 	}
 
-	// SIGINT/SIGTERM cancel the run: in-flight work aborts, the current
-	// partial batch is discarded, a final checkpoint is written (when
-	// -checkpoint is set), and the partial result prints before exit. A
-	// second signal kills the process immediately (stop() restores default
-	// signal handling).
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if capture != nil && *pprofInterval > 0 {
-		go capture.Every(ctx, *pprofInterval, func(err error) {
-			logger.Warn("interval pprof capture failed", slog.Any("err", err))
-		})
-	}
-
 	logger.Info("starting co-search",
 		slog.String("method", m.String()), slog.String("networks", *networks),
 		slog.String("scenario", *scenario), slog.Int64("seed", *seed))
@@ -255,7 +194,7 @@ func main() {
 	if err != nil {
 		if res == nil {
 			logger.Error("co-search failed", slog.Any("err", err))
-			os.Exit(1)
+			obs.Exit(1)
 		}
 		// The search finished; only a post-run step (cache save) or a
 		// recorder sink (checkpoint, flight record) failed.

@@ -35,6 +35,7 @@ import (
 	"syscall"
 	"time"
 
+	"unico/internal/cliobs"
 	"unico/internal/dist"
 	"unico/internal/disttrace"
 	"unico/internal/hw"
@@ -69,12 +70,11 @@ func main() {
 		os.Exit(2)
 	}
 	if *spanLog != "" {
-		rec, err := disttrace.NewRecorder(*spanLog, "loadgen")
+		rec, err := cliobs.SpanLog(*spanLog, "loadgen")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "unicoload:", err)
 			os.Exit(2)
 		}
-		disttrace.Enable(rec)
 		defer rec.Close()
 	}
 	var rateList []float64

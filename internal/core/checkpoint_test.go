@@ -244,6 +244,84 @@ func TestCancelMidIterationDiscardsPartialBatch(t *testing.T) {
 	sameResult(t, ref, got)
 }
 
+// cancelOnAdvancePlatform hands its at-th job (1-based creation order) a
+// searcher that cancels a context after one unit of its budget — an abort
+// arriving while the batch's mapping searches are in flight.
+type cancelOnAdvancePlatform struct {
+	Platform
+	cancel   context.CancelFunc
+	at       int32
+	calls    int32
+	canceled mapsearch.Searcher
+}
+
+func (p *cancelOnAdvancePlatform) NewJob(x []float64, seed int64) mapsearch.Searcher {
+	j := p.Platform.NewJob(x, seed)
+	if atomic.AddInt32(&p.calls, 1) == p.at {
+		j = cancelingSearcher{Searcher: j, cancel: p.cancel}
+		p.canceled = j
+	}
+	return j
+}
+
+type cancelingSearcher struct {
+	mapsearch.Searcher
+	cancel context.CancelFunc
+}
+
+func (s cancelingSearcher) AdvanceContext(ctx context.Context, budget int) {
+	ca := s.Searcher.(mapsearch.ContextAdvancer)
+	ca.AdvanceContext(ctx, 1)
+	s.cancel()
+	ca.AdvanceContext(ctx, budget-1)
+}
+
+// TestCancelMidFullBudgetBatchDiscardsPartialBatch is the no-early-stopping
+// (DisableSH) twin of TestCancelMidIterationDiscardsPartialBatch: a cancel
+// landing while iteration 3's full-budget searches run must abort them,
+// discard the batch, and leave a checkpoint that resumes bit-identically.
+func TestCancelMidFullBudgetBatchDiscardsPartialBatch(t *testing.T) {
+	opt := smallOpts(8)
+	opt.DisableSH = true
+	opt.MaxIter = 4
+	ref := Run(testPlatform(), opt)
+
+	ms := &memSink{}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cp := &cancelOnAdvancePlatform{
+		Platform: testPlatform(),
+		cancel:   cancel,
+		at:       int32(2*opt.BatchSize + 2), // second job of iteration 3
+	}
+	iopt := opt
+	iopt.Checkpoint = ms
+	partial := RunContext(ctx, cp, iopt)
+	if partial.CheckpointErr != nil {
+		t.Fatalf("CheckpointErr = %v", partial.CheckpointErr)
+	}
+	if spent := cp.canceled.Spent(); spent >= opt.BMax {
+		t.Fatalf("in-flight search ran on to %d of %d units after the cancel", spent, opt.BMax)
+	}
+	if len(partial.All) != 2*opt.BatchSize || partial.Evals != 2*opt.BatchSize*opt.BMax {
+		t.Fatalf("partial batch leaked: %d candidates and %d evals, want %d and %d",
+			len(partial.All), partial.Evals, 2*opt.BatchSize, 2*opt.BatchSize*opt.BMax)
+	}
+	final := ms.snaps[len(ms.snaps)-1]
+	if final.Iter != 2 || final.Explorer.RNGPos != ms.recs[1].RNGPos || final.ClockSeconds != ms.recs[1].ClockSeconds {
+		t.Fatalf("final snapshot (iter %d, RNG %d, clock %v) is not the iteration-2 boundary (RNG %d, clock %v)",
+			final.Iter, final.Explorer.RNGPos, final.ClockSeconds, ms.recs[1].RNGPos, ms.recs[1].ClockSeconds)
+	}
+
+	ropt := opt
+	ropt.Resume = ms.resumeState()
+	got := Run(&cancelOnAdvancePlatform{Platform: testPlatform(), cancel: func() {}, at: -1}, ropt)
+	if got.CheckpointErr != nil {
+		t.Fatalf("CheckpointErr = %v", got.CheckpointErr)
+	}
+	sameResult(t, ref, got)
+}
+
 func TestResumeFingerprintMismatch(t *testing.T) {
 	opt := smallOpts(5)
 	ms := &memSink{}

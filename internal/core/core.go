@@ -23,6 +23,7 @@ import (
 	"unico/internal/mapsearch"
 	"unico/internal/mobo"
 	"unico/internal/pareto"
+	"unico/internal/parpool"
 	"unico/internal/perfprof"
 	"unico/internal/ppa"
 	"unico/internal/robust"
@@ -91,11 +92,6 @@ type Options struct {
 	TimeBudgetHours float64
 	// Alpha is the robustness sub-optimal percentile (default 0.05).
 	Alpha float64
-	// Tracer receives search events as Chrome-trace spans; nil falls back
-	// to telemetry.DefaultTracer() (nil = tracing off, zero overhead).
-	// Tracing never influences the search: results are bit-identical with
-	// and without it.
-	Tracer *telemetry.Tracer
 	// Progress, if non-nil, is invoked after every MOBO iteration with the
 	// convergence snapshot of that moment (hypervolume, UUL, front size,
 	// simulated hours). The process-wide telemetry.EmitProgress sink fires
@@ -250,12 +246,14 @@ func Run(p Platform, opt Options) Result {
 // iteration completed before the cancellation. With Options.Checkpoint set,
 // a final snapshot captures that same completed-iteration boundary, so a
 // resumed run continues bit-identically to an uninterrupted one.
+//
+// Every phase of an iteration (iteration, suggest, sh.rung, sh.full_budget,
+// update, hypervolume) is one clocked perfprof span, nested under ctx; a
+// perfprof.TraceWriter carried by ctx (perfprof.WithTrace) writes each as a
+// Chrome trace event on the simulated clock. Tracing never influences the
+// search: results are bit-identical with and without it.
 func RunContext(ctx context.Context, p Platform, opt Options) Result {
 	opt = opt.normalize()
-	tr := opt.Tracer
-	if tr == nil {
-		tr = telemetry.DefaultTracer()
-	}
 	nObj := 3
 	if opt.UseRobustness {
 		nObj = 4
@@ -329,12 +327,6 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		Workers:         opt.Workers,
 		EvalCostSeconds: p.EvalCostSeconds(),
 		Clock:           opt.Clock,
-		Tracer:          tr,
-	}
-	if opt.DisableSH {
-		// Degenerate schedule: everyone runs to full budget in one round.
-		shCfg.KFrac = 0.999
-		shCfg.PFrac = 0
 	}
 
 	// Phase attribution: per-iteration window deltas from the active
@@ -347,27 +339,36 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 	// deterministic IDs ("r<run>-it<iter>") whether or not tracing is on.
 	disttrace.BeginRun()
 
-	for iter := lastIter + 1; iter <= opt.MaxIter; iter++ {
-		if ctx.Err() != nil {
-			break
-		}
-		if opt.TimeBudgetHours > 0 && opt.Clock.Hours() >= opt.TimeBudgetHours {
-			break
-		}
-		prof.TakeWindow() // discard activity since the previous iteration
-		endTrace, traceSpanID := disttrace.BeginIteration(iter)
-		pctx, phaseIter := prof.StartClocked(ctx, "iteration", opt.Clock)
-		iterSpan := tr.StartSpan("mobo_iteration", "core", 0, opt.Clock.Seconds())
-		suggestSpan := tr.StartSpan("suggest_batch", "mobo", 0, opt.Clock.Seconds())
-		_, phaseSuggest := prof.StartClocked(pctx, "suggest", opt.Clock)
+	// batch is what one completed iteration hands to its flight record,
+	// journal entry and progress report.
+	type batch struct {
+		xs        [][]float64
+		obs       []mobo.Observation
+		admitted  int
+		feasible  int
+		hv        float64
+		rungAlive []int
+		traceSpan string
+	}
+	// iterate runs MOBO iteration iter: suggest, mapping search, surrogate
+	// update, hypervolume. It reports false when the explorer is exhausted
+	// or ctx was cancelled mid-batch; the batch's evaluations are then
+	// incomplete and must not enter the result, the surrogate or the
+	// checkpoint, so they are discarded and resume re-runs the iteration.
+	// The iteration's phase span and distributed-trace span end on return,
+	// so the span log's end event is durable before the caller writes the
+	// flight record that references it.
+	iterate := func(iter int) (batch, bool) {
+		endTrace, traceSpan := disttrace.BeginIteration(iter)
+		defer endTrace()
+		pctx, iterSpan := prof.StartClocked(ctx, "iteration", opt.Clock)
+		defer iterSpan.End()
+
+		_, span := prof.StartClocked(pctx, "suggest", opt.Clock)
 		xs := explorer.SuggestBatch(opt.BatchSize)
-		phaseSuggest.End()
-		suggestSpan.End(opt.Clock.Seconds(), map[string]any{"batch": len(xs)})
+		span.End()
 		if len(xs) == 0 {
-			phaseIter.End()
-			iterSpan.End(opt.Clock.Seconds(), map[string]any{"iter": iter, "exhausted": true})
-			endTrace()
-			break
+			return batch{}, false
 		}
 		jobs := make([]mapsearch.Searcher, len(xs))
 		for i, x := range xs {
@@ -376,26 +377,24 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 
 		var outcome sh.Outcome
 		if opt.DisableSH {
-			_, phaseFull := prof.StartClocked(pctx, "sh.full_budget", opt.Clock)
-			outcome = runFullBudget(jobs, shCfg)
-			phaseFull.End()
+			fctx, full := prof.StartClocked(pctx, "sh.full_budget", opt.Clock)
+			outcome = runFullBudget(fctx, jobs, shCfg)
+			full.End()
 		} else {
 			outcome = sh.Run(pctx, jobs, shCfg)
 		}
 		if ctx.Err() != nil {
-			// The batch was interrupted mid-search: its evaluations are
-			// incomplete and must not enter the result, the surrogate or
-			// the checkpoint. Discard it; resume re-runs the iteration.
 			closeJobs(jobs)
-			phaseIter.End()
-			iterSpan.End(opt.Clock.Seconds(), map[string]any{"iter": iter, "canceled": true})
-			endTrace()
-			break
+			return batch{}, false
 		}
 		res.Evals += outcome.TotalEvals
 
-		obs := make([]mobo.Observation, len(xs))
-		batchFeasible := 0
+		b := batch{
+			xs:        xs,
+			obs:       make([]mobo.Observation, len(xs)),
+			rungAlive: outcome.RungAlive,
+			traceSpan: traceSpan,
+		}
 		for i, x := range xs {
 			hist := outcome.Histories[i]
 			met, ok := jobs[i].Best()
@@ -409,22 +408,18 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 				cand.Sensitivity = robust.RInfeasible
 			}
 			if cand.Feasible {
-				batchFeasible++
+				b.feasible++
 			}
 			res.All = append(res.All, cand)
-			obs[i] = mobo.Observation{X: x, Y: NormalizeObjectives(cand.Objectives(opt.UseRobustness))}
+			b.obs[i] = mobo.Observation{X: x, Y: NormalizeObjectives(cand.Objectives(opt.UseRobustness))}
 		}
 		closeJobs(jobs)
-		fitSpan := tr.StartSpan("gp_fit", "mobo", 0, opt.Clock.Seconds())
-		_, phaseUpdate := prof.StartClocked(pctx, "update", opt.Clock)
-		admitted := explorer.Update(obs)
+		_, span = prof.StartClocked(pctx, "update", opt.Clock)
+		b.admitted = explorer.Update(b.obs)
 		// Surrogate refit overhead on the master (paper Fig. 6b): seconds,
 		// negligible next to PPA evaluation but accounted for.
 		opt.Clock.Advance(5)
-		phaseUpdate.End()
-		fitSpan.End(opt.Clock.Seconds(), map[string]any{
-			"admitted": admitted, "train": explorer.TrainSize(),
-		})
+		span.End()
 
 		res.Front = paretoFront(res.All)
 		res.Trace = append(res.Trace, TracePoint{
@@ -434,16 +429,24 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		})
 		telemetry.MOBOIterations().Inc()
 
-		hvSpan := tr.StartSpan("hypervolume", "core", 0, opt.Clock.Seconds())
-		_, phaseHV := prof.Start(pctx, "hypervolume")
-		hv := runningHypervolume(res.Front)
-		phaseHV.End()
-		hvSpan.End(opt.Clock.Seconds(), map[string]any{"hv": hv, "front": len(res.Front)})
-		phaseIter.End()
-		// End the iteration's trace span before recording the flight line,
-		// so the span log's end event is durable by the time the flight
-		// record that references it is.
-		endTrace()
+		_, span = prof.StartClocked(pctx, "hypervolume", opt.Clock)
+		b.hv = runningHypervolume(res.Front)
+		span.End()
+		return b, true
+	}
+
+	for iter := lastIter + 1; iter <= opt.MaxIter; iter++ {
+		if ctx.Err() != nil {
+			break
+		}
+		if opt.TimeBudgetHours > 0 && opt.Clock.Hours() >= opt.TimeBudgetHours {
+			break
+		}
+		prof.TakeWindow() // discard activity since the previous iteration
+		b, ok := iterate(iter)
+		if !ok {
+			break
+		}
 
 		// Flight record at the completed-iteration boundary, durably written
 		// BEFORE the checkpoint journal entry: at any crash the artifact then
@@ -452,17 +455,17 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		flightIt := flightrec.Iteration{
 			Iter:          iter,
 			SimHours:      opt.Clock.Hours(),
-			Hypervolume:   hv,
+			Hypervolume:   b.hv,
 			UUL:           flightrec.ExtFloat(explorer.UUL()),
 			Evals:         res.Evals,
-			Admitted:      admitted,
+			Admitted:      b.admitted,
 			TrainSize:     explorer.TrainSize(),
-			BatchFeasible: batchFeasible,
+			BatchFeasible: b.feasible,
 			Best:          bestObjectives(res.Front),
 			Front:         frontPPA(res.Front),
-			RungAlive:     outcome.RungAlive,
+			RungAlive:     b.rungAlive,
 			Phases:        prof.TakeWindow(),
-			TraceSpan:     traceSpanID,
+			TraceSpan:     b.traceSpan,
 		}
 		if opt.Flight != nil {
 			opt.Flight.RecordIteration(flightIt)
@@ -476,9 +479,9 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		if sink != nil {
 			err := sink.AppendIteration(IterationRecord{
 				Iter:         iter,
-				Suggested:    xs,
-				Observations: obs,
-				Candidates:   res.All[len(res.All)-len(xs):],
+				Suggested:    b.xs,
+				Observations: b.obs,
+				Candidates:   res.All[len(res.All)-len(b.xs):],
 				Evals:        res.Evals,
 				ClockSeconds: lastSeconds,
 				RNGPos:       lastRNGPos,
@@ -496,19 +499,16 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		prog := Progress{
 			Iter:        iter,
 			SimHours:    opt.Clock.Hours(),
-			Hypervolume: hv,
+			Hypervolume: b.hv,
 			UUL:         explorer.UUL(),
 			FrontSize:   len(res.Front),
 			Evals:       res.Evals,
-			Admitted:    admitted,
+			Admitted:    b.admitted,
 		}
 		if opt.Progress != nil {
 			opt.Progress(prog)
 		}
 		telemetry.EmitProgress(prog)
-		iterSpan.End(opt.Clock.Seconds(), map[string]any{
-			"iter": iter, "front": len(res.Front), "evals": res.Evals, "hv": hv,
-		})
 	}
 	// Final snapshot at the last completed-iteration boundary, with the RNG
 	// position and clock reading of that boundary (not of any discarded
@@ -561,40 +561,29 @@ func runningHypervolume(front []Candidate) float64 {
 	return pareto.Hypervolume(pts, ref)
 }
 
-// runFullBudget advances every job to BMax with the configured parallelism,
-// charging the clock — the no-early-stopping regime.
-func runFullBudget(jobs []mapsearch.Searcher, cfg sh.Config) sh.Outcome {
-	// A single-round schedule: reuse sh.Run with one round by passing a
-	// candidate list it cannot halve. sh.Run computes rounds from N, so we
-	// instead advance directly.
-	simStart := 0.0
-	if cfg.Clock != nil {
-		simStart = cfg.Clock.Seconds()
-	}
+// runFullBudget advances every job to BMax on the bounded worker pool,
+// charging the clock — the no-early-stopping regime. Like an SH rung it
+// advances through mapsearch.AdvanceSearcher, so cancelling ctx aborts
+// in-flight searches.
+func runFullBudget(ctx context.Context, jobs []mapsearch.Searcher, cfg sh.Config) sh.Outcome {
 	// Count what each job actually spends, not the planned budget: a dead
 	// remote job never advances, and phantom budget would inflate the
 	// result's Evals.
-	total := 0
-	for _, j := range jobs {
-		before := j.Spent()
-		j.Advance(cfg.BMax)
-		total += j.Spent() - before
+	before := make([]int, len(jobs))
+	for i, j := range jobs {
+		before[i] = j.Spent()
 	}
+	parpool.ForEach(cfg.Workers, len(jobs), func(i int) {
+		mapsearch.AdvanceSearcher(ctx, jobs[i], cfg.BMax)
+	})
 	if cfg.Clock != nil && len(jobs) > 0 {
 		cfg.Clock.AdvanceParallel(len(jobs), float64(cfg.BMax)*cfg.EvalCostSeconds, cfg.Workers)
 	}
-	if cfg.Tracer != nil && cfg.Clock != nil {
-		simEnd := cfg.Clock.Seconds()
-		cfg.Tracer.Complete("full_budget_round", "sh", 0, simStart, simEnd,
-			map[string]any{"candidates": len(jobs), "budget": cfg.BMax})
-		for i := range jobs {
-			cfg.Tracer.Complete("candidate_eval", "sh", int64(i+1), simStart, simEnd,
-				map[string]any{"candidate": i, "budget": cfg.BMax})
-		}
-	}
+	total := 0
 	hist := make([]ppa.History, len(jobs))
 	surv := make([]int, len(jobs))
 	for i, j := range jobs {
+		total += j.Spent() - before[i]
 		hist[i] = j.History()
 		surv[i] = i
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"unico/internal/hw"
@@ -238,7 +239,7 @@ func (stuckSearcher) Best() (ppa.Metrics, bool) { return ppa.Metrics{}, false }
 // a job that cannot advance contributes zero evaluations, not BMax.
 func TestRunFullBudgetCountsActualSpend(t *testing.T) {
 	jobs := []mapsearch.Searcher{&spendCounter{}, stuckSearcher{}}
-	out := runFullBudget(jobs, sh.Config{BMax: 5, Workers: 2})
+	out := runFullBudget(context.Background(), jobs, sh.Config{BMax: 5, Workers: 2})
 	if out.TotalEvals != 5 {
 		t.Errorf("TotalEvals = %d, want 5 (one live job x BMax)", out.TotalEvals)
 	}

@@ -2,13 +2,14 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
-	"unico/internal/telemetry"
+	"unico/internal/perfprof"
 )
 
 // TestProgressFiresPerIteration asserts the Progress callback fires exactly
@@ -51,62 +52,91 @@ func TestProgressFiresPerIteration(t *testing.T) {
 	}
 }
 
+// tracedRun runs opt with a perfprof trace writer on the context and
+// returns the result and the trace's events, metadata line excluded.
+func tracedRun(t *testing.T, opt Options) (Result, []traceEvent) {
+	t.Helper()
+	var buf bytes.Buffer
+	tw := perfprof.NewTraceWriter(&buf)
+	res := RunContext(perfprof.WithTrace(context.Background(), tw), testPlatform(), opt)
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	var evs []traceEvent
+	for _, line := range lines[1:] {
+		var e traceEvent
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("bad trace line: %v\n%s", err, line)
+		}
+		evs = append(evs, e)
+	}
+	return res, evs
+}
+
+type traceEvent struct {
+	Name string  `json:"name"`
+	Cat  string  `json:"cat"`
+	TS   float64 `json:"ts"`
+	Dur  float64 `json:"dur"`
+}
+
 // TestTelemetryPreservesDeterminism is the acceptance criterion: a run with
-// tracer and progress enabled must be bit-identical to the same seed run
-// with both disabled.
+// a trace writer and progress enabled must be bit-identical to the same
+// seed run with both disabled.
 func TestTelemetryPreservesDeterminism(t *testing.T) {
 	plain := Run(testPlatform(), smallOpts(11))
 
-	var buf bytes.Buffer
 	opt := smallOpts(11)
-	opt.Tracer = telemetry.NewTracer(&buf)
 	opt.Progress = func(Progress) {}
-	traced := Run(testPlatform(), opt)
-	opt.Tracer.Flush()
+	traced, evs := tracedRun(t, opt)
 
 	if !reflect.DeepEqual(plain, traced) {
 		t.Fatal("tracing/progress changed the search result")
 	}
-	if buf.Len() == 0 {
-		t.Fatal("tracer captured no events")
+	if len(evs) == 0 {
+		t.Fatal("trace writer captured no events")
 	}
 }
 
-// TestRunEmitsExpectedSpans checks the trace stream contains the span
-// vocabulary the ISSUE promises (MOBO iterations, SH rungs, candidate
-// evals, GP fits, HV computations) with simulated-time stamps.
+// TestRunEmitsExpectedSpans checks the trace stream carries one event per
+// clocked phase (iterations, suggestions, SH rungs, surrogate updates,
+// hypervolume) with simulated-time stamps, each phase inside its iteration.
 func TestRunEmitsExpectedSpans(t *testing.T) {
-	var buf bytes.Buffer
-	opt := smallOpts(5)
-	opt.Tracer = telemetry.NewTracer(&buf)
-	res := Run(testPlatform(), opt)
-	opt.Tracer.Flush()
+	res, evs := tracedRun(t, smallOpts(5))
 
-	type ev struct {
-		Name string         `json:"name"`
-		Ph   string         `json:"ph"`
-		TS   float64        `json:"ts"`
-		Args map[string]any `json:"args"`
-	}
 	count := map[string]int{}
 	maxTS := 0.0
-	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
-		var e ev
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("bad trace line: %v\n%s", err, line)
-		}
+	var pending []traceEvent // phases awaiting their iteration, which ends last
+	for _, e := range evs {
 		count[e.Name]++
-		if e.TS > maxTS {
-			maxTS = e.TS
+		maxTS = math.Max(maxTS, e.TS)
+		if e.Name != "iteration" {
+			if e.Cat != "iteration" {
+				t.Errorf("%s: cat = %q, want iteration", e.Name, e.Cat)
+			}
+			pending = append(pending, e)
+			continue
 		}
+		const eps = 1e-3 // µs of float rounding
+		for _, c := range pending {
+			if c.TS < e.TS-eps || c.TS+c.Dur > e.TS+e.Dur+eps {
+				t.Errorf("%s [%v, %v] lies outside its iteration [%v, %v]",
+					c.Name, c.TS, c.TS+c.Dur, e.TS, e.TS+e.Dur)
+			}
+		}
+		pending = pending[:0]
 	}
-	for _, want := range []string{"mobo_iteration", "sh_rung", "candidate_eval", "gp_fit", "hypervolume", "suggest_batch"} {
+	if len(pending) != 0 {
+		t.Errorf("%d phase events follow the last iteration", len(pending))
+	}
+	for _, want := range []string{"iteration", "suggest", "sh.rung", "update", "hypervolume"} {
 		if count[want] == 0 {
 			t.Errorf("no %q spans in trace; got %v", want, count)
 		}
 	}
-	if count["mobo_iteration"] != len(res.Trace) {
-		t.Errorf("mobo_iteration spans = %d, iterations = %d", count["mobo_iteration"], len(res.Trace))
+	if count["iteration"] != len(res.Trace) {
+		t.Errorf("iteration spans = %d, iterations = %d", count["iteration"], len(res.Trace))
 	}
 	// Simulated timestamps should reach the run's simulated span (µs).
 	if wantUS := res.Hours * 3600 * 1e6; maxTS < wantUS/2 {

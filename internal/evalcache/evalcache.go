@@ -285,8 +285,8 @@ func (c *Cache) snapshot() []*entry {
 }
 
 // process is the optional process-wide cache the platform constructors
-// consult, mirroring telemetry's default-tracer pattern so deeply nested
-// runners (internal/experiments) can be cached from a single flag.
+// consult, so deeply nested runners (internal/experiments) can be cached
+// from a single flag.
 var process atomic.Pointer[Cache]
 
 // SetProcess installs c as the process-wide cache picked up by platform

@@ -82,7 +82,7 @@ func RunHypervolumeCurves(w io.Writer, sc hw.Scenario, s Scale) CurveResult {
 	const manyIters = 400
 	methods := []methodSpec{
 		{"HASCO", func(p core.Platform, seed int64, _ float64) core.Result {
-			return baselines.HASCO(p, s.Batch, s.HASCOIter, s.BMax, seed, nil, 0)
+			return s.hasco(p, s.HASCOIter, s.BMax, seed)
 		}},
 		{"NSGAII", func(p core.Platform, seed int64, budget float64) core.Result {
 			return baselines.NSGAII(p, baselines.NSGAIIOptions{
@@ -114,7 +114,7 @@ func RunAblation(w io.Writer, s Scale) CurveResult {
 	const manyIters = 400
 	methods := []methodSpec{
 		{"HASCO", func(p core.Platform, seed int64, _ float64) core.Result {
-			return baselines.HASCO(p, s.Batch, s.HASCOIter, s.BMax, seed, nil, 0)
+			return s.hasco(p, s.HASCOIter, s.BMax, seed)
 		}},
 		{"SH+Champion", func(p core.Platform, seed int64, budget float64) core.Result {
 			opt := baselines.SHChampionOptions(s.Batch, manyIters, s.BMax, seed)

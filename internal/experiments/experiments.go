@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"unico/internal/baselines"
 	"unico/internal/checkpoint"
 	"unico/internal/core"
 	"unico/internal/flightrec"
@@ -80,16 +81,29 @@ type Scale struct {
 	SearchWorkers int
 }
 
+// ctx is the scale's context: cancellation and, under cmd/experiments
+// -trace, the search-trace writer of every co-search run.
+func (s Scale) ctx() context.Context {
+	if s.Context == nil {
+		//unicolint:allow ctxflow explicit opt-out: a nil Scale.Context means the experiment owns its lifetime end-to-end
+		return context.Background()
+	}
+	return s.Context
+}
+
+// hasco runs the HASCO-like baseline under the scale's context, so it is
+// cancelled and traced like every other co-search; unlike run it keeps no
+// checkpoint or flight record.
+func (s Scale) hasco(p core.Platform, iters, bmax int, seed int64) core.Result {
+	return core.RunContext(s.ctx(), p, baselines.HASCOOptions(s.Batch, iters, bmax, seed))
+}
+
 // run executes one core co-search under the scale's cancellation context
 // and, when CheckpointDir is set, with a crash-safe checkpoint named after
 // the run. Checkpoint failures degrade to an uncheckpointed run (reported
 // on stderr) rather than failing the experiment.
 func (s Scale) run(name string, p core.Platform, opt core.Options) core.Result {
-	ctx := s.Context
-	if ctx == nil {
-		//unicolint:allow ctxflow explicit opt-out: a nil Scale.Context means the experiment owns its lifetime end-to-end
-		ctx = context.Background()
-	}
+	ctx := s.ctx()
 	if s.SearchWorkers > 0 {
 		opt.SearchWorkers = s.SearchWorkers
 	}

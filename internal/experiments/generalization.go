@@ -4,7 +4,6 @@ import (
 	"io"
 	"math"
 
-	"unico/internal/baselines"
 	"unico/internal/core"
 	"unico/internal/hw"
 	"unico/internal/workload"
@@ -51,7 +50,7 @@ func RunGeneralization(w io.Writer, s Scale) GeneralizationResult {
 	iters, bmax := max(s.MaxIter, 8), max(s.BMax, 80)
 	s.BMax = bmax
 	unicoRes := s.run("fig9-unico", p, core.UNICOOptions(s.Batch, iters, bmax, s.Seed))
-	hascoRes := baselines.HASCO(p, s.Batch, max(s.HASCOIter, 8), bmax, s.Seed+7, nil, 0)
+	hascoRes := s.hasco(p, max(s.HASCOIter, 8), bmax, s.Seed+7)
 
 	out := GeneralizationResult{}
 	// Representative selection uses a normalization pool shared by both

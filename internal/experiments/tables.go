@@ -50,7 +50,7 @@ func RunEdgeCloudTable(w io.Writer, sc hw.Scenario, s Scale) TableResult {
 			name string
 			res  core.Result
 		}{
-			{"HASCO", baselines.HASCO(p, s.Batch, s.HASCOIter, s.BMax, seed, nil, 0)},
+			{"HASCO", s.hasco(p, s.HASCOIter, s.BMax, seed)},
 			{"NSGAII", baselines.NSGAII(p, baselines.NSGAIIOptions{
 				Pop: s.NSGAPop, Generations: s.NSGAGen, BMax: s.BMax, Seed: seed + 1,
 			})},

@@ -80,8 +80,8 @@ func (l *Live) Snapshot() RunData {
 }
 
 // activeLive is the process-wide live store, nil until a CLI installs one
-// (mirroring telemetry's default-tracer pattern: deeply nested runners feed
-// the dashboard without threading a handle through every signature).
+// (deeply nested runners feed the dashboard without threading a handle
+// through every signature).
 var activeLive atomic.Pointer[Live]
 
 // SetLive installs (or, with nil, removes) the process-wide live store.

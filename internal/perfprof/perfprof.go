@@ -17,7 +17,10 @@
 // Nesting is carried through context.Context: Start returns a derived
 // context whose spans become children ("iteration/sh.rung/mapsearch.advance").
 // Begin opens a root-level phase for call sites with no context (gp.Predict).
-// Like the tracer and the flight recorder, the profiler is observation-only:
+// The same context can carry a TraceWriter (WithTrace), which turns every
+// clocked span opened under it into one Chrome trace event on the simulated
+// clock — the search trace is an output of the phase spans, not a second
+// span system. Like the flight recorder, the profiler is observation-only:
 // it never influences search decisions, verified by the existing
 // bit-identity determinism tests.
 package perfprof
@@ -56,7 +59,7 @@ type phase struct {
 	// (a cumulative-minus-baseline difference loses run-dependent ulps).
 	maxWall  float64
 	hist     *telemetry.Histogram // standalone, for p50/p95
-	volatile bool                 // excluded from Totals/DeltaSince (racy count)
+	volatile bool                 // excluded from TakeWindow (racy count)
 
 	// mirrored process-wide registry instruments (mirroring profilers only)
 	mWall *telemetry.Histogram
@@ -103,23 +106,32 @@ func SetActive(p *Profiler) (restore func()) {
 	return func() { active.Store(prev) }
 }
 
-// ctxKey carries the parent phase path through a context.
+// ctxKey keys the frame a context carries for the spans opened under it.
 type ctxKey struct{}
 
-func parentPath(ctx context.Context) string {
+// frame is what a context carries for child spans: the parent phase path and
+// the trace writer, if any. One ctx.Value lookup reads both.
+type frame struct {
+	path  string
+	trace *TraceWriter
+}
+
+func frameOf(ctx context.Context) frame {
 	if ctx == nil {
-		return ""
+		return frame{}
 	}
-	s, _ := ctx.Value(ctxKey{}).(string)
-	return s
+	if f, ok := ctx.Value(ctxKey{}).(*frame); ok {
+		return *f
+	}
+	return frame{}
 }
 
 // Span is one open phase observation. A nil *Span is valid: End is a no-op,
 // so call sites need no nil checks. Spans are not safe for concurrent use;
 // each belongs to the goroutine that opened it.
 type Span struct {
+	frame // path and trace writer; the child context points at this field
 	p     *Profiler
-	path  string
 	start time.Time
 	clock *simclock.Clock
 	sim0  float64
@@ -134,33 +146,38 @@ func (p *Profiler) Start(ctx context.Context, name string) (context.Context, *Sp
 
 // StartClocked is Start for call sites that hold the run's simulated clock:
 // the span records the simulated-clock delta alongside wall time. Only
-// clocked spans contribute simulated seconds to phase totals.
+// clocked spans contribute simulated seconds to phase totals, and only
+// clocked spans are written to a context's TraceWriter.
 func (p *Profiler) StartClocked(ctx context.Context, name string, c *simclock.Clock) (context.Context, *Span) {
 	return p.startSpan(ctx, name, c)
 }
 
 func (p *Profiler) startSpan(ctx context.Context, name string, c *simclock.Clock) (context.Context, *Span) {
-	path := name
-	if parent := parentPath(ctx); parent != "" {
-		path = parent + Separator + name
+	s := p.open(frameOf(ctx), name, c)
+	if ctx == nil {
+		//unicolint:allow ctxflow nil-ctx fallback for context-free call sites; the profiler context only carries the span frame, never cancellation
+		ctx = context.Background()
 	}
-	s := &Span{p: p, path: path, clock: c,
+	return context.WithValue(ctx, ctxKey{}, &s.frame), s
+}
+
+func (p *Profiler) open(parent frame, name string, c *simclock.Clock) *Span {
+	path := name
+	if parent.path != "" {
+		path = parent.path + Separator + name
+	}
+	s := &Span{frame: frame{path: path, trace: parent.trace}, p: p, clock: c,
 		start: time.Now()} //unicolint:allow detclock the profiler is the module's one sanctioned wall-clock boundary
 	if c != nil {
 		s.sim0 = c.Seconds()
 	}
-	if ctx == nil {
-		//unicolint:allow ctxflow nil-ctx fallback for Begin call sites; the profiler context only carries the span path, never cancellation
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, ctxKey{}, path), s
+	return s
 }
 
 // Begin opens a root-level phase span for call sites with no context to
 // thread (gp.Fit, mobo internals). Idiom: defer p.Begin("gp.fit").End()
 func (p *Profiler) Begin(name string) *Span {
-	_, s := p.startSpan(nil, name, nil)
-	return s
+	return p.open(frame{}, name, nil)
 }
 
 // End closes the span and records it. Safe on nil spans; a second End is a
@@ -171,11 +188,15 @@ func (s *Span) End() {
 	}
 	s.done = true
 	wall := time.Since(s.start).Seconds() //unicolint:allow detclock the profiler is the module's one sanctioned wall-clock boundary
-	sim := 0.0
+	sim, simEnd := 0.0, 0.0
 	if s.clock != nil {
-		sim = s.clock.Seconds() - s.sim0
+		simEnd = s.clock.Seconds()
+		sim = simEnd - s.sim0
 	}
 	s.p.record(s.path, wall, sim, false)
+	if s.trace != nil {
+		s.trace.complete(s, wall, simEnd)
+	}
 }
 
 // Timer measures an interval for call sites that decide the phase name only
@@ -202,7 +223,7 @@ func (t Timer) ObserveAs(path string) {
 
 // ObserveVolatileAs is ObserveAs for phases whose count depends on
 // goroutine scheduling (an evalcache singleflight wait, a dist retry wait):
-// the phase is kept out of Totals/DeltaSince — and therefore out of flight
+// the phase is kept out of TakeWindow — and therefore out of flight
 // records, whose per-iteration deltas must be deterministic — but still
 // appears in Report and the metrics mirror.
 func (t Timer) ObserveVolatileAs(path string) {
@@ -243,30 +264,6 @@ func (p *Profiler) record(path string, wall, sim float64, volatile bool) {
 	}
 }
 
-// Total is one path's deterministic accumulator snapshot.
-type Total struct {
-	Count      uint64
-	SimSeconds float64
-}
-
-// Totals snapshots the deterministic (count, simulated-seconds) accumulators
-// of every non-volatile phase — the baseline DeltaSince subtracts.
-func (p *Profiler) Totals() Totals {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(Totals, len(p.phases))
-	for path, ph := range p.phases {
-		if ph.volatile {
-			continue
-		}
-		out[path] = Total{Count: ph.count, SimSeconds: ph.sim}
-	}
-	return out
-}
-
-// Totals maps phase path to its deterministic accumulators.
-type Totals map[string]Total
-
 // PhaseDelta is the per-iteration flight-record form of one phase: path,
 // observation count, and simulated seconds — all deterministic functions of
 // the run configuration, never wall time.
@@ -274,31 +271,6 @@ type PhaseDelta struct {
 	Path       string  `json:"path"`
 	Count      uint64  `json:"count"`
 	SimSeconds float64 `json:"sim_seconds,omitempty"`
-}
-
-// DeltaSince returns the per-phase growth since base, sorted by path, with
-// unchanged phases omitted. Volatile phases never appear.
-func (p *Profiler) DeltaSince(base Totals) []PhaseDelta {
-	now := p.Totals()
-	paths := make([]string, 0, len(now))
-	for path := range now {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	var out []PhaseDelta
-	for _, path := range paths {
-		cur := now[path]
-		prev := base[path]
-		if cur.Count == prev.Count && cur.SimSeconds == prev.SimSeconds {
-			continue
-		}
-		out = append(out, PhaseDelta{
-			Path:       path,
-			Count:      cur.Count - prev.Count,
-			SimSeconds: cur.SimSeconds - prev.SimSeconds,
-		})
-	}
-	return out
 }
 
 // TakeWindow returns the per-phase activity since the last TakeWindow call

@@ -9,6 +9,15 @@ import (
 	"unico/internal/simclock"
 )
 
+// window drains p's window into a map keyed by path.
+func window(p *Profiler) map[string]PhaseDelta {
+	out := map[string]PhaseDelta{}
+	for _, d := range p.TakeWindow() {
+		out[d.Path] = d
+	}
+	return out
+}
+
 func TestSpanNestingBuildsPaths(t *testing.T) {
 	p := New()
 	ctx, outer := p.Start(context.Background(), "iteration")
@@ -18,14 +27,14 @@ func TestSpanNestingBuildsPaths(t *testing.T) {
 	mid.End()
 	outer.End()
 
-	tot := p.Totals()
+	win := window(p)
 	for _, want := range []string{
 		"iteration",
 		"iteration/sh.rung",
 		"iteration/sh.rung/mapsearch.advance",
 	} {
-		if tot[want].Count != 1 {
-			t.Errorf("phase %q count = %d, want 1 (totals: %v)", want, tot[want].Count, tot)
+		if win[want].Count != 1 {
+			t.Errorf("phase %q count = %d, want 1 (window: %v)", want, win[want].Count, win)
 		}
 	}
 }
@@ -36,7 +45,7 @@ func TestClockedSpanRecordsSimDelta(t *testing.T) {
 	_, s := p.StartClocked(context.Background(), "sh.rung", c)
 	c.Advance(42)
 	s.End()
-	got := p.Totals()["sh.rung"]
+	got := window(p)["sh.rung"]
 	if got.SimSeconds != 42 {
 		t.Fatalf("sim seconds = %v, want 42", got.SimSeconds)
 	}
@@ -50,27 +59,27 @@ func TestNilAndDoubleEndAreSafe(t *testing.T) {
 	_, sp := p.Start(context.Background(), "x")
 	sp.End()
 	sp.End() // second End is a no-op
-	if got := p.Totals()["x"].Count; got != 1 {
+	if got := window(p)["x"].Count; got != 1 {
 		t.Fatalf("count after double End = %d, want 1", got)
 	}
 }
 
-func TestDeltaSinceSortedAndOmitsUnchanged(t *testing.T) {
+func TestTakeWindowSortedAndOmitsInactive(t *testing.T) {
 	p := New()
 	p.Begin("b.phase").End()
 	p.Begin("a.phase").End()
-	base := p.Totals()
+	p.TakeWindow()
 
-	p.Begin("b.phase").End()
 	p.Begin("c.phase").End()
+	p.Begin("b.phase").End()
 
-	got := p.DeltaSince(base)
+	got := p.TakeWindow()
 	want := []PhaseDelta{
 		{Path: "b.phase", Count: 1},
 		{Path: "c.phase", Count: 1},
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("DeltaSince = %+v, want %+v", got, want)
+		t.Fatalf("TakeWindow = %+v, want %+v", got, want)
 	}
 }
 
@@ -82,15 +91,8 @@ func TestVolatilePhasesExcludedFromTotalsButReported(t *testing.T) {
 	NewTimer().ObserveVolatileAs("x.volatile")
 	NewTimer().ObserveAs("x.normal")
 
-	tot := p.Totals()
-	if _, ok := tot["x.volatile"]; ok {
-		t.Error("volatile phase leaked into Totals")
-	}
-	if tot["x.normal"].Count != 1 {
-		t.Errorf("x.normal count = %d, want 1", tot["x.normal"].Count)
-	}
-	if ds := p.DeltaSince(Totals{}); len(ds) != 1 || ds[0].Path != "x.normal" {
-		t.Errorf("DeltaSince = %+v, want only x.normal", ds)
+	if ds := p.TakeWindow(); len(ds) != 1 || ds[0].Path != "x.normal" || ds[0].Count != 1 {
+		t.Errorf("TakeWindow = %+v, want only x.normal once", ds)
 	}
 
 	var paths []string
@@ -145,7 +147,6 @@ func TestConcurrentSpans(t *testing.T) {
 				outer.End()
 				p.Begin("gp.predict").End()
 				if i%50 == 0 {
-					p.Totals()
 					p.Report()
 				}
 			}
@@ -153,7 +154,7 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 	wg.Wait()
 
-	tot := p.Totals()
+	tot := window(p)
 	if got := tot["iteration"].Count; got != 8*200 {
 		t.Errorf("iteration count = %d, want %d", got, 8*200)
 	}

@@ -52,9 +52,6 @@ type Config struct {
 	EvalCostSeconds float64
 	// Clock, if non-nil, accrues the simulated wall-clock cost.
 	Clock *simclock.Clock
-	// Tracer, if non-nil, records one span per rung and per advanced
-	// candidate (nil = off; tracing never affects scheduling decisions).
-	Tracer *telemetry.Tracer
 }
 
 // Default returns the paper's MSH configuration.
@@ -137,7 +134,6 @@ func Run(ctx context.Context, jobs []mapsearch.Searcher, cfg Config) Outcome {
 			break
 		}
 		target := cumBudget[r]
-		simStart := simNow(cfg.Clock)
 		rctx, rungSpan := perfprof.StartClocked(ctx, "sh.rung", cfg.Clock)
 		// Advance all alive candidates to the round's cumulative budget on
 		// the bounded worker pool; charge the makespan to the simulated
@@ -172,36 +168,22 @@ func Run(ctx context.Context, jobs []mapsearch.Searcher, cfg Config) Outcome {
 			perCand := float64(delta) / float64(len(alive)) * cfg.EvalCostSeconds
 			cfg.Clock.AdvanceParallel(len(alive), perCand, cfg.Workers)
 		}
-		if cfg.Tracer != nil {
-			simEnd := simNow(cfg.Clock)
-			for _, ji := range advanced {
-				cfg.Tracer.Complete("candidate_eval", "sh", int64(ji+1), simStart, simEnd,
-					map[string]any{"candidate": ji, "spent": jobs[ji].Spent()})
-			}
+		last := r == rounds-1
+		if !last {
+			alive = Promote(jobs, alive, cfg)
+			rungAlive = append(rungAlive, len(alive))
 		}
-		if r == rounds-1 {
-			rungSpan.End()
-			telemetry.SHRungs().Inc()
-			telemetry.SHSurvivors().Set(float64(len(alive)))
-			cfg.Tracer.Complete("sh_rung", "sh", 0, simStart, simNow(cfg.Clock), map[string]any{
-				"rung": r + 1, "budget": target, "alive": len(alive), "evals": delta,
-			})
-			break
-		}
-		alive = Promote(jobs, alive, cfg)
-		rungAlive = append(rungAlive, len(alive))
 		rungSpan.End()
 		telemetry.SHRungs().Inc()
 		telemetry.SHSurvivors().Set(float64(len(alive)))
-		cfg.Tracer.Complete("sh_rung", "sh", 0, simStart, simNow(cfg.Clock), map[string]any{
-			"rung": r + 1, "budget": target, "alive": len(alive), "evals": delta,
-		})
+		if last {
+			break
+		}
 		if len(alive) <= 1 {
 			// Run the lone survivor to full budget.
 			fctx, fullSpan := perfprof.StartClocked(ctx, "sh.full_budget", cfg.Clock)
-			last := rounds - 1
 			for _, ji := range alive {
-				d := cumBudget[last] - jobs[ji].Spent()
+				d := cumBudget[rounds-1] - jobs[ji].Spent()
 				if d > 0 {
 					before := jobs[ji].Spent()
 					mapsearch.AdvanceSearcher(fctx, jobs[ji], d)
@@ -285,14 +267,6 @@ func terminalValue(j mapsearch.Searcher) float64 {
 // inflate it.
 func auc(j mapsearch.Searcher) float64 {
 	return mapsearch.Feasible(j.History()).AUC()
-}
-
-// simNow reads the simulated clock (0 when no clock is attached).
-func simNow(c *simclock.Clock) float64 {
-	if c == nil {
-		return 0
-	}
-	return c.Seconds()
 }
 
 func (c Config) String() string {

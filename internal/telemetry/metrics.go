@@ -1,13 +1,12 @@
 // Package telemetry is the stdlib-only observability subsystem: a metrics
 // registry (atomic counters, gauges and fixed-bucket histograms rendered in
-// Prometheus text exposition format and published through expvar), a
-// search-event tracer emitting Chrome trace_event JSONL stamped with both
-// real and simulated time, and HTTP server middleware.
+// Prometheus text exposition format and published through expvar), the
+// per-iteration search progress hooks, and HTTP server middleware. The
+// Chrome search trace is written by internal/perfprof from its clocked
+// phase spans.
 //
 // Everything is dependency-free by design (the repo rule: no modules beyond
-// the standard library) and safe for concurrent use. A nil *Tracer is a
-// valid, zero-overhead tracer: every method is a no-op, so instrumented hot
-// paths cost one pointer comparison when tracing is off.
+// the standard library) and safe for concurrent use.
 package telemetry
 
 import (

@@ -37,10 +37,10 @@ import (
 	"unico/internal/flightrec"
 	"unico/internal/hw"
 	"unico/internal/mapsearch"
+	"unico/internal/perfprof"
 	"unico/internal/platform"
 	"unico/internal/runid"
 	"unico/internal/simclock"
-	"unico/internal/telemetry"
 	"unico/internal/workload"
 )
 
@@ -300,9 +300,11 @@ type Config struct {
 	// requests carry it. Empty uses the already-installed process ID, or
 	// generates a fresh one.
 	RunID string
-	// TraceWriter, if non-nil, receives the run's search events as Chrome
-	// trace_event JSONL (open with a trace viewer after `jq -s .`, or read
-	// line-by-line). Tracing never changes the search result.
+	// TraceWriter, if non-nil, receives the run's search phases (iteration,
+	// suggest, sh.rung, sh.full_budget, update, hypervolume) as Chrome
+	// trace_event JSONL on the simulated clock (open with a trace viewer
+	// after `jq -s .`, or read line-by-line). Per-iteration numbers live in
+	// the flight record. Tracing never changes the search result.
 	TraceWriter io.Writer
 	// Progress, if non-nil, is invoked after every optimizer iteration
 	// with a convergence snapshot (UNICO, HASCO and MOBOHB; NSGA-II does
@@ -505,10 +507,10 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 		return nil
 	}
 
-	var tracer *telemetry.Tracer
 	if cfg.TraceWriter != nil {
-		tracer = telemetry.NewTracer(cfg.TraceWriter)
-		defer tracer.Flush()
+		tw := perfprof.NewTraceWriter(cfg.TraceWriter)
+		defer tw.Flush()
+		ctx = perfprof.WithTrace(ctx, tw)
 	}
 	var progress core.ProgressFunc
 	if cfg.Progress != nil {
@@ -533,7 +535,6 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 		opt.SearchWorkers = cfg.SearchWorkers
 		opt.Clock = clock
 		opt.TimeBudgetHours = cfg.TimeBudgetHours
-		opt.Tracer = tracer
 		opt.Progress = progress
 		applyCheckpoint(&opt)
 		if err := applyFlight(&opt); err != nil {
@@ -545,7 +546,6 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 		opt.SearchWorkers = cfg.SearchWorkers
 		opt.Clock = clock
 		opt.TimeBudgetHours = cfg.TimeBudgetHours
-		opt.Tracer = tracer
 		opt.Progress = progress
 		applyCheckpoint(&opt)
 		if err := applyFlight(&opt); err != nil {
@@ -558,7 +558,6 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 		opt.SearchWorkers = cfg.SearchWorkers
 		opt.Clock = clock
 		opt.TimeBudgetHours = cfg.TimeBudgetHours
-		opt.Tracer = tracer
 		opt.Progress = progress
 		applyCheckpoint(&opt)
 		if err := applyFlight(&opt); err != nil {
