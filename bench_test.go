@@ -158,6 +158,21 @@ func BenchmarkGPFitPredict(b *testing.B) {
 	benchmarks.GPFitPredict(b)
 }
 
+// BenchmarkPredictBatch scores a 256-candidate pool on a 150-point GP,
+// batched (gp.PredictBatch) and as the equivalent per-candidate Predict
+// loop. The bodies live in internal/benchmarks.
+func BenchmarkPredictBatch(b *testing.B) {
+	b.Run("batch", benchmarks.PredictBatch)
+	b.Run("loop", benchmarks.PredictLoop)
+}
+
+// BenchmarkAcquisitionPool measures SuggestBatch on a 3-objective
+// optimizer at training size 128. The body lives in internal/benchmarks
+// so cmd/unicobench runs the identical workload.
+func BenchmarkAcquisitionPool(b *testing.B) {
+	benchmarks.AcquisitionPool(b)
+}
+
 // BenchmarkCholeskyBlocked measures the blocked factorization on a
 // 256×256 SPD matrix. The body lives in internal/benchmarks so
 // cmd/unicobench runs the identical workload.

@@ -8,6 +8,7 @@
 package benchmarks
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -20,6 +21,7 @@ import (
 	"unico/internal/maestro"
 	"unico/internal/mapping"
 	"unico/internal/mapsearch"
+	"unico/internal/mobo"
 	"unico/internal/platform"
 	"unico/internal/simclock"
 	"unico/internal/workload"
@@ -39,6 +41,7 @@ type Case struct {
 func All() []Case {
 	return []Case{
 		{Name: "GPFitPredict", Fn: GPFitPredict},
+		{Name: "AcquisitionPool", Fn: AcquisitionPool},
 		{Name: "CholeskyBlocked", Fn: CholeskyBlocked},
 		{Name: "Rank1Update", Fn: Rank1Update},
 		{Name: "MappingSearchUnit", Fn: MappingSearchUnit},
@@ -72,6 +75,91 @@ func GPFitPredict(b *testing.B) {
 			b.Fatal(err)
 		}
 		g.Predict(xs[0])
+	}
+}
+
+// predictFixture is a FitAuto GP at the MOBO training cap (150 points,
+// d = 6) plus a 256-candidate acquisition pool.
+func predictFixture(b *testing.B) (*gp.GP, [][]float64) {
+	rng := rand.New(rand.NewSource(1))
+	draw := func(n int) [][]float64 {
+		xs := make([][]float64, n)
+		for i := range xs {
+			xs[i] = make([]float64, 6)
+			for j := range xs[i] {
+				xs[i][j] = rng.Float64()
+			}
+		}
+		return xs
+	}
+	xs := draw(150)
+	ys := make([]float64, len(xs))
+	for i := range ys {
+		ys[i] = rng.NormFloat64()
+	}
+	g, err := gp.FitAuto(xs, ys)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g, draw(256)
+}
+
+// PredictBatch scores a 256-candidate pool with one gp.PredictBatch call,
+// the acquisition pool's hot path.
+func PredictBatch(b *testing.B) {
+	g, pool := predictFixture(b)
+	mean, variance := make([]float64, len(pool)), make([]float64, len(pool))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.PredictBatch(pool, mean, variance)
+	}
+}
+
+// PredictLoop scores the same pool as PredictBatch one gp.Predict call per
+// candidate — the baseline the batched path is measured against.
+func PredictLoop(b *testing.B) {
+	g, pool := predictFixture(b)
+	mean, variance := make([]float64, len(pool)), make([]float64, len(pool))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c, x := range pool {
+			mean[c], variance[c] = g.Predict(x)
+		}
+	}
+}
+
+// AcquisitionPool measures SuggestBatch on a 3-objective optimizer whose
+// surrogates hold 128 training points: per batch slot, one 256-candidate
+// pool scored on three GPs plus the incumbent refinement chains.
+func AcquisitionPool(b *testing.B) {
+	space := hw.NewSpatialSpace(hw.Edge)
+	cfg := mobo.DefaultConfig(3)
+	cfg.Rule = mobo.AllSamples
+	o := mobo.New(space, cfg, 1)
+	rng := rand.New(rand.NewSource(2))
+	obs := make([]mobo.Observation, 128)
+	for i := range obs {
+		// Smooth positive objectives whose optima shift by 0.1 per
+		// objective, so the three surrogates disagree.
+		x := space.Sample(rng)
+		y := make([]float64, 3)
+		for j := range y {
+			sum := 0.0
+			for _, v := range x {
+				d := v - 0.3 - 0.1*float64(j)
+				sum += d * d
+			}
+			y[j] = math.Exp(sum)
+		}
+		obs[i] = mobo.Observation{X: x, Y: y}
+	}
+	o.Update(obs)
+	if o.TrainSize() != len(obs) {
+		b.Fatalf("training size %d, want %d", o.TrainSize(), len(obs))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.SuggestBatch(4)
 	}
 }
 

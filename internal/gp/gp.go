@@ -26,12 +26,21 @@
 // the optimizer extends surrogates incrementally. Params/Jitter expose the
 // values a caller must persist to reproduce a fitted GP exactly.
 //
+// # Batched prediction
+//
+// The hot path is PredictBatch: the acquisition pool in internal/mobo
+// scores its candidates in blocks of eight, building the block's K★ once
+// and running one 8-wide forward solve (linalg.SolveLower8Into) instead of
+// one triangular solve per candidate. Every per-candidate accumulation keeps
+// Predict's order, so PredictBatch equals Predict bit for bit; the
+// refinement chains, which score one point at a time, stay on Predict.
+//
 // # Concurrency
 //
-// A fitted GP is immutable under Predict (scratch space comes from a
-// sync.Pool, not the receiver), so concurrent Predict calls on one GP are
-// safe — the acquisition worker pool in internal/mobo relies on this.
-// Fit/Extend must not race with Predict.
+// A fitted GP is immutable under Predict and PredictBatch (scratch space
+// comes from sync.Pools, not the receiver), so concurrent calls of either
+// on one GP are safe and allocate nothing — the acquisition worker pool in
+// internal/mobo relies on this. Fit/Extend must not race with them.
 package gp
 
 import (
@@ -431,8 +440,8 @@ var predictPool = sync.Pool{New: func() any { return new(predictScratch) }}
 
 // Predict returns the posterior mean and variance at x (on the original
 // target scale). It is safe to call concurrently on a fitted GP, allocates
-// nothing, and deliberately carries no perfprof span: it runs ~10⁵ times
-// per MOBO iteration inside the acquisition pool, where a per-call span
+// nothing, and deliberately carries no perfprof span: the refinement chains
+// call it thousands of times per MOBO iteration, where a per-call span
 // would serialize workers on the profiler mutex. The mobo.acq_* spans
 // account for this time instead.
 func (g *GP) Predict(x []float64) (mean, variance float64) {
@@ -454,6 +463,81 @@ func (g *GP) Predict(x []float64) (mean, variance float64) {
 	}
 	predictPool.Put(sc)
 	return mu*g.stdY + g.meanY, varS * g.stdY * g.stdY
+}
+
+// batchScratch is PredictBatch's pooled K★ block: n rows of predictBlock
+// interleaved candidate columns, solved in place.
+type batchScratch struct {
+	kb []float64
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// predictBlock is the number of candidates PredictBatch scores per K★
+// block — the width of linalg.SolveLower8Into.
+const predictBlock = 8
+
+// PredictBatch writes the posterior mean and variance at each xs[c] into
+// mean[c] and variance[c] (both must have len(xs) entries). It is the
+// acquisition pool's hot path: per block of eight candidates it builds K★
+// once, interleaved as kb[i*8+c], accumulates each candidate's mean from
+// it, and runs one 8-wide forward solve (linalg.SolveLower8Into), so L
+// streams once per block instead of once per candidate. A short last block
+// is padded with zero columns, whose results are discarded.
+//
+// Every per-candidate accumulation runs in Predict's order, one product at
+// a time, so each output equals Predict(xs[c]) bit for bit. Like Predict it
+// is safe to call concurrently on a fitted GP, allocates nothing (the block
+// comes from a sync.Pool) and carries no perfprof span.
+func (g *GP) PredictBatch(xs [][]float64, mean, variance []float64) {
+	if len(mean) != len(xs) || len(variance) != len(xs) {
+		panic(fmt.Sprintf("gp: PredictBatch got %d points, %d means, %d variances", len(xs), len(mean), len(variance)))
+	}
+	n := len(g.x)
+	sc := batchPool.Get().(*batchScratch)
+	if cap(sc.kb) < predictBlock*n {
+		sc.kb = make([]float64, predictBlock*n)
+	}
+	kb := sc.kb[:predictBlock*n]
+	matern, isMatern := g.kernel.(Matern52)
+	for lo := 0; lo < len(xs); lo += predictBlock {
+		blk := xs[lo:min(lo+predictBlock, len(xs))]
+		for c := len(blk); c < predictBlock; c++ {
+			for i := 0; i < n; i++ {
+				kb[i*predictBlock+c] = 0
+			}
+		}
+		for c, x := range blk {
+			mu := 0.0
+			for i, xi := range g.x {
+				var k float64
+				if isMatern {
+					k = matern52FromSq(sqDist(xi, x), matern.Lengthscale, matern.Variance)
+				} else {
+					k = g.kernel.Eval(xi, x)
+				}
+				kb[i*predictBlock+c] = k
+				mu += k * g.alpha[i]
+			}
+			mean[lo+c] = mu*g.stdY + g.meanY
+		}
+		linalg.SolveLower8Into(g.chol, kb, kb)
+		var vv [predictBlock]float64
+		for i := 0; i < n; i++ {
+			v := (*[predictBlock]float64)(kb[i*predictBlock:])
+			for c := range vv {
+				vv[c] += v[c] * v[c]
+			}
+		}
+		for c, x := range blk {
+			varS := g.kernel.Eval(x, x) + g.noise - vv[c]
+			if varS < 1e-12 {
+				varS = 1e-12
+			}
+			variance[lo+c] = varS * g.stdY * g.stdY
+		}
+	}
+	batchPool.Put(sc)
 }
 
 // N returns the number of training points.

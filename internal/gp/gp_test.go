@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -317,6 +318,107 @@ func TestConcurrentPredictIsDeterministic(t *testing.T) {
 				m, v := g.Predict(q)
 				if m != wantM[i] || v != wantV[i] {
 					panic("concurrent Predict diverged")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// checkBatchMatchesPredict asserts PredictBatch equals Predict per point,
+// bit for bit, for each pool length in lens (queries drawn from qs, which
+// must hold at least max(lens) points).
+func checkBatchMatchesPredict(t *testing.T, name string, g *GP, qs [][]float64, lens []int) {
+	t.Helper()
+	for _, m := range lens {
+		mean, variance := make([]float64, m), make([]float64, m)
+		g.PredictBatch(qs[:m], mean, variance)
+		for c, q := range qs[:m] {
+			wm, wv := g.Predict(q)
+			if mean[c] != wm || variance[c] != wv {
+				t.Fatalf("%s pool %d point %d: PredictBatch (%v, %v), Predict (%v, %v)",
+					name, m, c, mean[c], variance[c], wm, wv)
+			}
+		}
+	}
+}
+
+// TestPredictBatchMatchesPredictBitwise pins PredictBatch to Predict with
+// == across training sizes around the block width, pool lengths with and
+// without a short last block, Matérn (FitAuto) and RBF (Fit) kernels, and
+// a GP grown by Extend. Queries include training points, where the
+// variance floor applies.
+func TestPredictBatchMatchesPredictBitwise(t *testing.T) {
+	lens := []int{0, 1, 7, 8, 9, 33}
+	for _, n := range []int{1, 3, 7, 8, 9, 150} {
+		x, y := randomData(n, 4, int64(n))
+		qs, _ := randomData(33, 4, 99)
+		copy(qs[:min(n, 5)], x)
+		auto, err := FitAuto(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkBatchMatchesPredict(t, fmt.Sprintf("matern n=%d", n), auto, qs, lens)
+		rbf, err := Fit(x, y, RBF{Lengthscale: 0.4, Variance: 1.5}, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkBatchMatchesPredict(t, fmt.Sprintf("rbf n=%d", n), rbf, qs, lens)
+	}
+	x, y := randomData(40, 4, 3)
+	g, err := FitAuto(x[:25], y[:25])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 25; i < 40; i++ {
+		if err := g.Extend(x[i], y[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qs, _ := randomData(33, 4, 7)
+	checkBatchMatchesPredict(t, "extended", g, qs, lens)
+}
+
+// TestPredictBatchDoesNotAllocate pins the allocation-free pool-scoring
+// hot path, including a short last block.
+func TestPredictBatchDoesNotAllocate(t *testing.T) {
+	x, y := randomData(50, 4, 2)
+	g, err := FitAuto(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, _ := randomData(21, 4, 5)
+	mean, variance := make([]float64, len(qs)), make([]float64, len(qs))
+	g.PredictBatch(qs, mean, variance) // warm the pool
+	if n := testing.AllocsPerRun(200, func() { g.PredictBatch(qs, mean, variance) }); n > 0 {
+		t.Fatalf("PredictBatch allocates %.1f objects per call", n)
+	}
+}
+
+// TestConcurrentPredictBatchIsDeterministic runs PredictBatch on one GP
+// from several goroutines and checks every output matches the serial
+// value.
+func TestConcurrentPredictBatchIsDeterministic(t *testing.T) {
+	x, y := randomData(60, 4, 8)
+	g, err := FitAuto(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, _ := randomData(37, 4, 4)
+	wantM, wantV := make([]float64, len(qs)), make([]float64, len(qs))
+	g.PredictBatch(qs, wantM, wantV)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, v := make([]float64, len(qs)), make([]float64, len(qs))
+			for rep := 0; rep < 20; rep++ {
+				g.PredictBatch(qs, m, v)
+				for i := range qs {
+					if m[i] != wantM[i] || v[i] != wantV[i] {
+						panic("concurrent PredictBatch diverged")
+					}
 				}
 			}
 		}()

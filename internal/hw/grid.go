@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 )
 
 // Axis is one discrete hardware parameter with its admissible values in
@@ -144,9 +145,23 @@ func (g Grid) Encode(idx []int) []float64 {
 }
 
 // Key returns a canonical comparable key of the lattice cell containing x,
-// used to deduplicate hardware candidates.
+// used to deduplicate hardware candidates: the per-axis indices formatted
+// as fmt.Sprint formats an []int ("[a b c]"), byte for byte, built in a
+// stack buffer because every acquisition-pool candidate's exclusion check
+// calls it.
 func (g Grid) Key(x []float64) string {
-	return fmt.Sprint(g.Indices(x))
+	if len(x) != g.Dim() {
+		panic(fmt.Sprintf("hw: Key: got %d coords, want %d", len(x), g.Dim()))
+	}
+	var buf [64]byte
+	b := append(buf[:0], '[')
+	for i, a := range g.axes {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(a.index(x[i])), 10)
+	}
+	return string(append(b, ']'))
 }
 
 // Neighbor returns a copy of x with one uniformly chosen axis moved one step

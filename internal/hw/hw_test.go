@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -146,6 +147,40 @@ func TestGridKeyDistinguishesCells(t *testing.T) {
 	}
 	if g.Key(a) != g.Key(g.Clip(a)) {
 		t.Error("key changed under Clip")
+	}
+}
+
+// TestGridKeyMatchesSprint is the golden test of Key's hand-rolled
+// formatting: on random index vectors it must equal fmt.Sprint of the
+// indices byte for byte, on empty, single-axis and wide grids (multi-digit
+// indices, keys longer than Key's stack buffer).
+func TestGridKeyMatchesSprint(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	values := func(n int) []int {
+		v := make([]int, n)
+		for i := range v {
+			v[i] = i + 1
+		}
+		return v
+	}
+	grids := []Grid{NewGrid(), NewGrid(Axis{Name: "a", Values: values(1)}), NewGrid(Axis{Name: "a", Values: values(37)})}
+	for _, dim := range []int{3, 6, 24} {
+		axes := make([]Axis, dim)
+		for i := range axes {
+			axes[i] = Axis{Name: fmt.Sprint("ax", i), Values: values(1 + rng.Intn(3000))}
+		}
+		grids = append(grids, NewGrid(axes...))
+	}
+	for _, g := range grids {
+		for trial := 0; trial < 50; trial++ {
+			idx := make([]int, g.Dim())
+			for i, a := range g.Axes() {
+				idx[i] = rng.Intn(len(a.Values))
+			}
+			if got, want := g.Key(g.Encode(idx)), fmt.Sprint(idx); got != want {
+				t.Fatalf("dim %d: Key = %q, fmt.Sprint = %q", g.Dim(), got, want)
+			}
+		}
 	}
 }
 

@@ -35,8 +35,15 @@
 // # Allocation-free solves
 //
 // SolveLowerInto, SolveLowerTInto and CholeskySolveInto are the
-// solve-into-buffer variants used on hot paths (gp.Predict); the rhs and
-// solution buffers may alias.
+// solve-into-buffer variants; the rhs and solution buffers may alias.
+//
+// The hot path is SolveLower8Into, the forward solve behind gp.PredictBatch
+// (the acquisition pool scores eight candidates per call): it solves eight
+// interleaved right-hand sides per sweep over L. It follows the same
+// ascending-k accumulation invariant as the factorization and
+// SolveLowerInto — each right-hand side subtracts its products one at a
+// time in ascending k — so each of its columns is bit-identical to a
+// SolveLowerInto solve, and batched scoring leaves seeded runs unchanged.
 package linalg
 
 import (
@@ -315,6 +322,43 @@ func solveLowerInto(l *Matrix, b, x []float64) {
 			sum -= row[k] * x[k]
 		}
 		x[i] = sum / row[i]
+	}
+}
+
+// SolveLower8Into solves L·X = B for eight right-hand sides at once. B and
+// X are n×8 and interleaved — entry i of right-hand side c lives at
+// [i*8+c] — and X may alias B. Each row of L is loaded once and feeds eight
+// independent accumulators, so L streams through memory once per eight
+// solves and the eight subtraction chains overlap instead of serializing.
+// Column c runs exactly solveLowerInto's recurrence (start from b[i],
+// subtract row[k]·x[k] one product at a time in ascending k, divide by the
+// diagonal), so every column equals SolveLowerInto on that right-hand side
+// bit for bit.
+func SolveLower8Into(l *Matrix, b, x []float64) {
+	n := l.Rows
+	if len(b) != 8*n || len(x) != 8*n {
+		panic(fmt.Sprintf("linalg: SolveLower8Into got %d rhs and %d out entries, want %d", len(b), len(x), 8*n))
+	}
+	for i := 0; i < n; i++ {
+		row := l.Data[i*l.Cols : i*l.Cols+i+1]
+		bi := (*[8]float64)(b[i*8:])
+		s0, s1, s2, s3 := bi[0], bi[1], bi[2], bi[3]
+		s4, s5, s6, s7 := bi[4], bi[5], bi[6], bi[7]
+		for k, r := range row[:i] {
+			xk := (*[8]float64)(x[k*8:])
+			s0 -= r * xk[0]
+			s1 -= r * xk[1]
+			s2 -= r * xk[2]
+			s3 -= r * xk[3]
+			s4 -= r * xk[4]
+			s5 -= r * xk[5]
+			s6 -= r * xk[6]
+			s7 -= r * xk[7]
+		}
+		d := row[i]
+		xi := (*[8]float64)(x[i*8:])
+		xi[0], xi[1], xi[2], xi[3] = s0/d, s1/d, s2/d, s3/d
+		xi[4], xi[5], xi[6], xi[7] = s4/d, s5/d, s6/d, s7/d
 	}
 }
 

@@ -154,6 +154,9 @@ func TestPanicsOnShapeMismatch(t *testing.T) {
 		"SolveLower": func() {
 			SolveLower(New(2, 2), []float64{1})
 		},
+		"SolveLower8Into": func() {
+			SolveLower8Into(New(2, 2), make([]float64, 16), make([]float64, 8))
+		},
 		"New": func() { New(0, 1) },
 	} {
 		func() {
@@ -420,6 +423,40 @@ func TestSolveIntoVariants(t *testing.T) {
 	for i := range bwdWant {
 		if bwd[i] != bwdWant[i] {
 			t.Fatalf("aliased SolveLowerTInto[%d] = %v, want %v", i, bwd[i], bwdWant[i])
+		}
+	}
+}
+
+// TestSolveLower8MatchesScalarBitwise checks every column of the 8-wide
+// forward solve equals SolveLowerInto on that right-hand side exactly,
+// with separate and aliased output buffers.
+func TestSolveLower8MatchesScalarBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{1, 3, 8, 33, 150} {
+		l, err := Cholesky(randomSPD(n, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]float64, 8*n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		x := make([]float64, 8*n)
+		SolveLower8Into(l, b, x)
+		aliased := append([]float64(nil), b...)
+		SolveLower8Into(l, aliased, aliased)
+		col, want := make([]float64, n), make([]float64, n)
+		for c := 0; c < 8; c++ {
+			for i := range col {
+				col[i] = b[i*8+c]
+			}
+			SolveLowerInto(l, col, want)
+			for i := range want {
+				if x[i*8+c] != want[i] || aliased[i*8+c] != want[i] {
+					t.Fatalf("n=%d column %d row %d: got %v (aliased %v), SolveLowerInto %v",
+						n, c, i, x[i*8+c], aliased[i*8+c], want[i])
+				}
+			}
 		}
 	}
 }

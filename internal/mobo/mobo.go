@@ -25,14 +25,16 @@
 // # Parallel acquisition, deterministic results
 //
 // SuggestBatch scores its candidate pool and refines its incumbent chains
-// on a bounded worker pool (Config.SearchWorkers, internal/parpool). The
-// result is bit-identical for every worker count: all draws from the
-// optimizer's counted RNG happen serially before the fan-out (the pool
-// samples, plus one seed per refinement chain), workers write scores into
-// slots indexed by candidate, chains use private RNGs built from their
-// pre-drawn seeds, and the merge scans slots in index order with
-// strictly-lower-wins ties. The optimizer's RNG is consumed only inside
-// SuggestBatch, never in Update — the checkpoint/resume contract.
+// on a bounded worker pool (Config.SearchWorkers, internal/parpool). Pool
+// workers take blocks of 32 candidates and score each block with one
+// gp.PredictBatch call per objective, which equals per-candidate
+// gp.Predict bit for bit. The result is bit-identical for every worker
+// count: all draws from the optimizer's counted RNG happen serially before
+// the fan-out (the pool samples, plus one seed per refinement chain),
+// workers write scores into slots indexed by candidate, chains use private
+// RNGs built from their pre-drawn seeds, and the merge scans slots in index
+// order with strictly-lower-wins ties. The optimizer's RNG is consumed only
+// inside SuggestBatch, never in Update — the checkpoint/resume contract.
 package mobo
 
 import (
@@ -91,7 +93,7 @@ func (u UpdateRule) String() string {
 // Config parameterizes the optimizer.
 type Config struct {
 	// Weights are the ParEGO importance weights w_j (must sum to 1); their
-	// length fixes the number of objectives.
+	// length fixes the number of objectives (at most 8).
 	Weights []float64
 	// Rho is the ParEGO augmentation coefficient (paper default 0.2).
 	Rho float64
@@ -175,8 +177,8 @@ type Optimizer struct {
 
 // New builds an optimizer over the space.
 func New(space Space, cfg Config, seed int64) *Optimizer {
-	if len(cfg.Weights) == 0 {
-		panic("mobo: Config.Weights must be non-empty")
+	if len(cfg.Weights) == 0 || len(cfg.Weights) > maxObjectives {
+		panic(fmt.Sprintf("mobo: Config.Weights has %d entries, want 1 to %d", len(cfg.Weights), maxObjectives))
 	}
 	if cfg.Rho <= 0 {
 		cfg.Rho = 0.2
@@ -270,10 +272,15 @@ func (o *Optimizer) randomSimplex() []float64 {
 }
 
 // acqChains is the number of incumbent refinement chains per acquisition
-// maximization, and acqSteps the hill-climb length of each.
+// maximization, and acqSteps the hill-climb length of each. poolBlock is
+// the number of pool candidates one worker scores per task (four
+// gp.PredictBatch blocks), and maxObjectives bounds Config.Weights so
+// acquisition scoring keeps per-objective moments in fixed-size arrays.
 const (
-	acqChains = 3
-	acqSteps  = 16
+	acqChains     = 3
+	acqSteps      = 16
+	poolBlock     = 32
+	maxObjectives = 8
 )
 
 // maximizeAcquisition searches the candidate pool plus local neighbourhoods
@@ -302,16 +309,8 @@ func (o *Optimizer) maximizeAcquisition(lambda []float64, exclude map[string]boo
 	}
 
 	// Parallel phase 1: score the pool into indexed slots.
-	scores := make([]float64, len(pool))
 	sp := perfprof.Begin("mobo.acq_pool")
-	//unicolint:allow ctxflow CPU-bound local scoring pool; ForEach returns when our own workers finish, there is no remote peer to hang on
-	parpool.ForEach(o.cfg.SearchWorkers, len(pool), func(i int) {
-		if o.excluded(pool[i], exclude) {
-			scores[i] = math.Inf(1)
-			return
-		}
-		scores[i] = o.acquisition(pool[i], lambda)
-	})
+	scores := o.scorePool(pool, lambda, exclude)
 	sp.End()
 	bestA := math.Inf(1)
 	for i, a := range scores {
@@ -328,6 +327,7 @@ func (o *Optimizer) maximizeAcquisition(lambda []float64, exclude map[string]boo
 	}
 	chains := make([]chainBest, len(incumbents))
 	sp = perfprof.Begin("mobo.acq_refine")
+	//unicolint:allow ctxflow CPU-bound local refinement chains; ForEach returns when our own workers finish, there is no remote peer to hang on
 	parpool.ForEach(o.cfg.SearchWorkers, len(incumbents), func(c int) {
 		crng := rand.New(rand.NewSource(seeds[c]))
 		x := incumbents[c]
@@ -362,37 +362,75 @@ func (o *Optimizer) excluded(x []float64, exclude map[string]bool) bool {
 	return exclude[k] || o.seen[k]
 }
 
-// acquisition is the scalarized lower-confidence bound: scalarize the
-// per-objective posterior means (normalized log space) with the augmented
-// Tchebycheff form, minus an exploration bonus from the scalarized standard
-// deviation. Lower is better.
-func (o *Optimizer) acquisition(x []float64, lambda []float64) float64 {
-	mu, sigma := o.predictNorm(x)
-	s := scalarize(mu, lambda, o.cfg.Rho)
-	var varSum float64
-	for j := range sigma {
-		v := lambda[j] * sigma[j]
-		varSum += v * v
-	}
-	return s - o.cfg.Explore*math.Sqrt(varSum)
+// scorePool returns the acquisition of every pool candidate under lambda,
+// +Inf for excluded ones. Workers take blocks of poolBlock candidates:
+// excluded candidates drop out to +Inf first, the rest are scored with one
+// gp.PredictBatch call per objective (which pads a short block itself) and
+// acqFromMoments, and each score lands in its candidate's slot. PredictBatch
+// equals Predict bit for bit, so every score equals acquisition on that
+// candidate, for every worker count.
+func (o *Optimizer) scorePool(pool [][]float64, lambda []float64, exclude map[string]bool) []float64 {
+	scores := make([]float64, len(pool))
+	blocks := (len(pool) + poolBlock - 1) / poolBlock
+	//unicolint:allow ctxflow CPU-bound local scoring pool; ForEach returns when our own workers finish, there is no remote peer to hang on
+	parpool.ForEach(o.cfg.SearchWorkers, blocks, func(b int) {
+		var (
+			xs             [poolBlock][]float64
+			at             [poolBlock]int
+			mean, variance [maxObjectives][poolBlock]float64
+		)
+		live := 0
+		for i := b * poolBlock; i < min((b+1)*poolBlock, len(pool)); i++ {
+			if o.excluded(pool[i], exclude) {
+				scores[i] = math.Inf(1)
+				continue
+			}
+			xs[live], at[live] = pool[i], i
+			live++
+		}
+		for j, g := range o.gps {
+			g.PredictBatch(xs[:live], mean[j][:live], variance[j][:live])
+		}
+		for c := 0; c < live; c++ {
+			var m, v [maxObjectives]float64
+			for j := range o.gps {
+				m[j], v[j] = mean[j][c], variance[j][c]
+			}
+			scores[at[c]] = o.acqFromMoments(&m, &v, lambda)
+		}
+	})
+	return scores
 }
 
-// predictNorm returns the normalized-log-space posterior mean and standard
-// deviation per objective.
-func (o *Optimizer) predictNorm(x []float64) (mu, sigma []float64) {
-	n := o.NumObjectives()
-	mu = make([]float64, n)
-	sigma = make([]float64, n)
+// acquisition scores one point from its gp.Predict moments; the
+// refinement chains call it step by step, the pool goes through scorePool.
+func (o *Optimizer) acquisition(x []float64, lambda []float64) float64 {
+	var m, v [maxObjectives]float64
 	for j, g := range o.gps {
-		m, v := g.Predict(x)
-		mu[j] = o.normalize(j, m)
+		m[j], v[j] = g.Predict(x)
+	}
+	return o.acqFromMoments(&m, &v, lambda)
+}
+
+// acqFromMoments is the scalarized lower-confidence bound from the raw
+// per-objective posterior means and variances: scalarize the means
+// (normalized log space) with the augmented Tchebycheff form, minus an
+// exploration bonus from the scalarized standard deviation. Lower is
+// better.
+func (o *Optimizer) acqFromMoments(mean, variance *[maxObjectives]float64, lambda []float64) float64 {
+	n := o.NumObjectives()
+	var mu [maxObjectives]float64
+	var varSum float64
+	for j := 0; j < n; j++ {
+		mu[j] = o.normalize(j, mean[j])
 		span := o.hi[j] - o.lo[j]
 		if span <= 0 {
 			span = 1
 		}
-		sigma[j] = math.Sqrt(v) / span
+		v := lambda[j] * (math.Sqrt(variance[j]) / span)
+		varSum += v * v
 	}
-	return mu, sigma
+	return scalarize(mu[:n], lambda, o.cfg.Rho) - o.cfg.Explore*math.Sqrt(varSum)
 }
 
 // topTrain returns the inputs of the best k training points under lambda.

@@ -251,12 +251,93 @@ func TestUpdatePanicsOnWrongDim(t *testing.T) {
 }
 
 func TestNewValidatesConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New accepted empty weights")
+	for _, nObj := range []int{0, maxObjectives + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted %d weights", nObj)
+				}
+			}()
+			New(testSpace(), Config{Weights: make([]float64, nObj)}, 1)
+		}()
+	}
+}
+
+// trainedOptimizer returns a 3-objective optimizer whose surrogates hold n
+// sampled points (every sample admitted).
+func trainedOptimizer(n int, seed int64) *Optimizer {
+	cfg := DefaultConfig(3)
+	cfg.Rule = AllSamples
+	o := New(testSpace(), cfg, seed)
+	rng := rand.New(rand.NewSource(seed))
+	obs := make([]Observation, n)
+	for i := range obs {
+		x := testSpace().Sample(rng)
+		obs[i] = Observation{X: x, Y: synthObjectives(x, 3)}
+	}
+	o.Update(obs)
+	return o
+}
+
+// TestScorePoolMatchesAcquisition checks the block-batched pool scores
+// equal per-candidate acquisition calls with ==, and +Inf exactly for the
+// excluded candidates (already evaluated or already in the batch), on a
+// pool with a short last block, for several worker counts.
+func TestScorePoolMatchesAcquisition(t *testing.T) {
+	o := trainedOptimizer(40, 3)
+	rng := rand.New(rand.NewSource(9))
+	pool := make([][]float64, 77)
+	for i := range pool {
+		pool[i] = o.space.Sample(rng)
+	}
+	for i := 0; i < 6; i++ {
+		pool[5+11*i] = o.train[i].X // evaluated: excluded via o.seen
+	}
+	exclude := map[string]bool{}
+	for _, i := range []int{0, 31, 32, 33, 70, 76} {
+		exclude[o.space.Key(pool[i])] = true
+	}
+	lambda := []float64{0.5, 0.3, 0.2}
+	want := make([]float64, len(pool))
+	excluded := 0
+	for i, x := range pool {
+		if o.excluded(x, exclude) {
+			want[i] = math.Inf(1)
+			excluded++
+			continue
 		}
-	}()
-	New(testSpace(), Config{}, 1)
+		want[i] = o.acquisition(x, lambda)
+	}
+	if excluded < 12 {
+		t.Fatalf("only %d excluded candidates in the pool", excluded)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		o.cfg.SearchWorkers = workers
+		got := o.scorePool(pool, lambda, exclude)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d candidate %d: pool score %v, acquisition %v", workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestAcquisitionDoesNotAllocate pins the allocation-free scoring of the
+// refinement chains.
+func TestAcquisitionDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
+	}
+	o := trainedOptimizer(30, 4)
+	x := o.space.Sample(rand.New(rand.NewSource(1)))
+	lambda := []float64{0.2, 0.3, 0.5}
+	o.acquisition(x, lambda) // warm the predict pool
+	if n := testing.AllocsPerRun(100, func() { o.acquisition(x, lambda) }); n > 0 {
+		t.Fatalf("acquisition allocates %.1f objects per call", n)
+	}
 }
 
 func TestUpdateRuleString(t *testing.T) {
